@@ -36,34 +36,44 @@ pub fn wants_json(args: &[String]) -> bool {
 
 /// Parses a `--benchmarks a,b,c` / `--latency N` style argument list
 /// shared by the experiment binaries. Returns the workload selection
-/// and the value of `--latency` (if present).
+/// and the value of `--latency` (if present). A bad value is a usage
+/// error: the message goes to stderr and the process exits with 2.
 pub fn parse_args(args: &[String]) -> (Vec<Workload>, Option<u32>) {
-    let mut selected: Option<Vec<String>> = None;
+    try_parse_args(args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// Fallible form of [`parse_args`]: the error names the bad value.
+/// Arguments other than `--benchmarks` and `--latency` are left to the
+/// caller.
+fn try_parse_args(args: &[String]) -> Result<(Vec<Workload>, Option<u32>), String> {
+    let mut selected: Option<&str> = None;
     let mut latency: Option<u32> = None;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--benchmarks" => {
-                if let Some(list) = args.get(i + 1) {
-                    selected = Some(list.split(',').map(str::to_string).collect());
-                    i += 1;
-                }
+        let flag = args[i].as_str();
+        if flag == "--benchmarks" || flag == "--latency" {
+            let value = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
+            if flag == "--benchmarks" {
+                selected = Some(value);
+            } else {
+                latency =
+                    Some(value.parse().map_err(|_| format!("bad --latency value `{value}`"))?);
             }
-            "--latency" => {
-                if let Some(v) = args.get(i + 1) {
-                    latency = v.parse().ok();
-                    i += 1;
-                }
-            }
-            _ => {}
+            i += 1;
         }
         i += 1;
     }
     let workloads = match selected {
-        Some(names) => names.iter().filter_map(|n| mcpart_workloads::by_name(n)).collect(),
+        Some(list) => list
+            .split(',')
+            .map(|n| mcpart_workloads::by_name(n).ok_or_else(|| format!("unknown benchmark `{n}`")))
+            .collect::<Result<_, _>>()?,
         None => mcpart_workloads::all(),
     };
-    (workloads, latency)
+    Ok((workloads, latency))
 }
 
 #[cfg(test)]

@@ -319,7 +319,10 @@ impl ChaosSummary {
 pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosSummary, ChaosError> {
     cfg.sweep.validate().map_err(|e| ChaosError::Machine { message: e.to_string() })?;
     let points = cfg.sweep.expand();
-    let media: Vec<String> = mcpart_workloads::mediabench().into_iter().map(|w| w.name).collect();
+    let media: Vec<&str> = mcpart_workloads::names()
+        .filter(|&(_, suite)| suite == mcpart_workloads::Suite::Mediabench)
+        .map(|(name, _)| name)
+        .collect();
     let mut cache: TargetCache = HashMap::new();
     let mut summary = ChaosSummary::default();
     for id in 0..cfg.scenarios {
@@ -708,7 +711,7 @@ fn corrupt_placement(result: &mut PipelineResult, n: usize) {
 fn sample_scenario(
     cfg: &ChaosConfig,
     points: &[SweepPoint],
-    media: &[String],
+    media: &[&str],
     id: usize,
 ) -> Scenario {
     let mut rng = SmallRng::seed_from_u64(derive_seed(cfg.seed, id as u64));
@@ -732,7 +735,7 @@ fn sample_scenario(
              sharing={sharing},trips={trips},seed={pseed}"
         )
     } else {
-        media[rng.gen_range(0..media.len())].clone()
+        media[rng.gen_range(0..media.len())].to_string()
     };
     let mut entries = Vec::new();
     if rng.gen_bool(0.35) {

@@ -34,42 +34,57 @@ pub use gen::{
     Suite, SynthSpec, SynthSpecError, Workload, WorkloadError,
 };
 
+/// Builds one bundled workload (verifies and profiles its program).
+type Constructor = fn() -> Workload;
+
+/// The bundled benchmarks: name, suite and constructor, Mediabench
+/// first, then the DSP kernels. [`all`], [`by_name`] and [`names`] all
+/// read this one table, so a single lookup builds a single program.
+const REGISTRY: &[(&str, Suite, Constructor)] = &[
+    ("cjpeg", Suite::Mediabench, jpeg::cjpeg),
+    ("djpeg", Suite::Mediabench, jpeg::djpeg),
+    ("epic", Suite::Mediabench, epic::epic),
+    ("unepic", Suite::Mediabench, epic::unepic),
+    ("g721encode", Suite::Mediabench, g721::g721encode),
+    ("g721decode", Suite::Mediabench, g721::g721decode),
+    ("gsmencode", Suite::Mediabench, gsm::gsmencode),
+    ("gsmdecode", Suite::Mediabench, gsm::gsmdecode),
+    ("mpeg2dec", Suite::Mediabench, mpeg2::mpeg2dec),
+    ("mpeg2enc", Suite::Mediabench, mpeg2::mpeg2enc),
+    ("pegwit", Suite::Mediabench, pegwit::pegwit),
+    ("rawcaudio", Suite::Mediabench, adpcm::rawcaudio),
+    ("rawdaudio", Suite::Mediabench, adpcm::rawdaudio),
+    ("fir", Suite::Dsp, kernels::fir),
+    ("fft", Suite::Dsp, kernels::fft),
+    ("fsed", Suite::Dsp, kernels::fsed),
+    ("sobel", Suite::Dsp, kernels::sobel),
+    ("latnrm", Suite::Dsp, kernels::latnrm),
+    ("matmul", Suite::Dsp, kernels::matmul),
+    ("viterbi", Suite::Dsp, kernels2::viterbi),
+    ("autcor", Suite::Dsp, kernels2::autcor),
+    ("histogram", Suite::Dsp, kernels2::histogram),
+];
+
 /// All workloads, Mediabench first, then the DSP kernels.
 pub fn all() -> Vec<Workload> {
-    vec![
-        jpeg::cjpeg(),
-        jpeg::djpeg(),
-        epic::epic(),
-        epic::unepic(),
-        g721::g721encode(),
-        g721::g721decode(),
-        gsm::gsmencode(),
-        gsm::gsmdecode(),
-        mpeg2::mpeg2dec(),
-        mpeg2::mpeg2enc(),
-        pegwit::pegwit(),
-        adpcm::rawcaudio(),
-        adpcm::rawdaudio(),
-        kernels::fir(),
-        kernels::fft(),
-        kernels::fsed(),
-        kernels::sobel(),
-        kernels::latnrm(),
-        kernels::matmul(),
-        kernels2::viterbi(),
-        kernels2::autcor(),
-        kernels2::histogram(),
-    ]
+    REGISTRY.iter().map(|&(_, _, build)| build()).collect()
 }
 
-/// Looks up one workload by its benchmark name. Synthetic preset names
-/// (`synth_10k`, `synth_100k`, `synth_1m`) resolve too; arbitrary
-/// synthetic specs go through [`synth`].
+/// The bundled benchmark names with their suites, in [`all`] order,
+/// without building any program.
+pub fn names() -> impl Iterator<Item = (&'static str, Suite)> {
+    REGISTRY.iter().map(|&(name, suite, _)| (name, suite))
+}
+
+/// Looks up one workload by its benchmark name, building only that
+/// program. Synthetic preset names (`synth_10k`, `synth_100k`,
+/// `synth_1m`) resolve too; arbitrary synthetic specs go through
+/// [`synth`].
 pub fn by_name(name: &str) -> Option<Workload> {
     if name.starts_with("synth_") {
         return synth(name);
     }
-    all().into_iter().find(|w| w.name == name)
+    REGISTRY.iter().find(|&&(n, _, _)| n == name).map(|&(_, _, build)| build())
 }
 
 /// Why [`synth_result`] failed: the spec string itself, or
@@ -113,29 +128,74 @@ pub fn synth_result(spec: &str) -> Result<Workload, SynthError> {
     parsed.try_generate(spec).map_err(SynthError::Workload)
 }
 
-/// The Mediabench subset.
-pub fn mediabench() -> Vec<Workload> {
-    all().into_iter().filter(|w| w.suite == Suite::Mediabench).collect()
-}
-
-/// The DSP kernel subset.
-pub fn dsp_kernels() -> Vec<Workload> {
-    all().into_iter().filter(|w| w.suite == Suite::Dsp).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The benchmark order `results/` and the experiments depend on.
+    const ORDER: [&str; 22] = [
+        "cjpeg",
+        "djpeg",
+        "epic",
+        "unepic",
+        "g721encode",
+        "g721decode",
+        "gsmencode",
+        "gsmdecode",
+        "mpeg2dec",
+        "mpeg2enc",
+        "pegwit",
+        "rawcaudio",
+        "rawdaudio",
+        "fir",
+        "fft",
+        "fsed",
+        "sobel",
+        "latnrm",
+        "matmul",
+        "viterbi",
+        "autcor",
+        "histogram",
+    ];
+
     #[test]
-    fn registry_is_consistent() {
-        let names: Vec<String> = all().iter().map(|w| w.name.clone()).collect();
-        assert!(names.iter().any(|n| n == "rawcaudio"));
-        assert!(names.iter().any(|n| n == "fsed"));
-        let unique: std::collections::HashSet<_> = names.iter().collect();
-        assert_eq!(unique.len(), names.len(), "duplicate names");
-        assert!(by_name("rawdaudio").is_some());
-        assert!(by_name("nonexistent").is_none());
+    fn all_keeps_the_pinned_order() {
+        let built: Vec<String> = all().into_iter().map(|w| w.name).collect();
+        assert_eq!(built, ORDER);
+        let listed: Vec<&str> = names().map(|(n, _)| n).collect();
+        assert_eq!(listed, ORDER);
+    }
+
+    #[test]
+    fn by_name_builds_the_same_program_as_all() {
+        for w in all() {
+            let one = by_name(&w.name).unwrap_or_else(|| panic!("{} not found", w.name));
+            assert_eq!(
+                mcpart_ir::program_to_string(&one.program),
+                mcpart_ir::program_to_string(&w.program),
+                "{}: printed IR differs",
+                w.name
+            );
+            assert_eq!(one.profile, w.profile, "{}: profile differs", w.name);
+            assert_eq!((one.name, one.suite), (w.name, w.suite));
+        }
+    }
+
+    #[test]
+    fn constructors_match_their_table_keys() {
+        for &(name, suite, build) in REGISTRY {
+            let w = build();
+            assert_eq!((w.name.as_str(), w.suite), (name, suite));
+        }
+        assert!(names().all(|(_, s)| s != Suite::Synthetic));
+    }
+
+    #[test]
+    fn unknown_names_resolve_to_none() {
+        for name in ["nonexistent", "", "CJPEG", "fir ", "synth_bogus"] {
+            assert!(by_name(name).is_none(), "{name:?} resolved");
+        }
+        assert_eq!(by_name("synth_10k").map(|w| w.suite), Some(Suite::Synthetic));
     }
 
     #[test]

@@ -10,6 +10,12 @@ cargo build --release
 echo "== cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "== perfbench build + tests (the benchmark's use of the public API)"
+# A separate package with its own workspace: a change to an API it calls
+# (by_name, all, serve, JobLoader, checkpoint/cache helpers) fails here
+# rather than in the benchmark run.
+CARGO_TARGET_DIR=target/perfbench cargo test --manifest-path perfbench/Cargo.toml --offline -q
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -351,44 +351,40 @@ fn machine_of(o: &Options) -> Result<Machine, CliError> {
     Ok(m)
 }
 
-fn load_target(name_or_path: &str) -> Result<(Program, Profile), String> {
+/// Resolves a benchmark name, a synthetic preset or `key=value,...`
+/// spec, or a `.mcir` path to its program and profile. A malformed
+/// synthetic spec is a usage error (exit 2, with the parser's column
+/// diagnostic); every other failure is a runtime error.
+fn load_target(target: &str) -> Result<(Program, Profile), CliError> {
     // Synthetic specs first — a preset name or `key=value,...` string
     // (`mcpart partition ops=100000`) keeps its parse diagnostic
     // instead of degrading to the generic "unknown benchmark" message.
-    if name_or_path.starts_with("synth_") || name_or_path.contains('=') {
-        let w = mcpart::workloads::synth_result(name_or_path)
-            .map_err(|e| format!("`{name_or_path}`: {e}"))?;
-        return Ok((w.program, w.profile));
-    }
-    if let Some(w) = mcpart::workloads::by_name(name_or_path) {
-        return Ok((w.program, w.profile));
-    }
-    if std::path::Path::new(name_or_path).exists() {
-        let text = std::fs::read_to_string(name_or_path)
-            .map_err(|e| format!("cannot read {name_or_path}: {e}"))?;
-        let program = parse_program(&text).map_err(|e| format!("{name_or_path}: {e}"))?;
-        mcpart::ir::verify_program(&program).map_err(|e| format!("{name_or_path}: {e}"))?;
-        let profile = profile_run(&program, &[], ExecConfig::default())
-            .map_err(|e| format!("{name_or_path}: execution failed: {e}"))?;
-        return Ok((program, profile));
-    }
-    Err(format!(
-        "`{name_or_path}` is neither a known benchmark nor a readable file (try `mcpart list`)"
-    ))
-}
-
-/// CLI-side wrapper of [`load_target`]: a malformed synthetic spec is
-/// a *usage* error (exit 2, with the parser's column diagnostic);
-/// everything else stays a runtime error. `serve` keeps the plain
-/// [`load_target`] as its job loader — a service job never exits the
-/// process.
-fn load_target_cli(target: &str) -> Result<(Program, Profile), CliError> {
     if target.starts_with("synth_") || target.contains('=') {
         let w = mcpart::workloads::synth_result(target)
             .map_err(|e| CliError::Usage(format!("`{target}`: {e}")))?;
         return Ok((w.program, w.profile));
     }
-    load_target(target).map_err(CliError::Runtime)
+    if let Some(w) = mcpart::workloads::by_name(target) {
+        return Ok((w.program, w.profile));
+    }
+    if !std::path::Path::new(target).exists() {
+        return Err(CliError::Runtime(format!(
+            "`{target}` is neither a known benchmark nor a readable file (try `mcpart list`)"
+        )));
+    }
+    let text = std::fs::read_to_string(target).map_err(|e| format!("cannot read {target}: {e}"))?;
+    let program = parse_program(&text).map_err(|e| format!("{target}: {e}"))?;
+    mcpart::ir::verify_program(&program).map_err(|e| format!("{target}: {e}"))?;
+    let profile = profile_run(&program, &[], ExecConfig::default())
+        .map_err(|e| format!("{target}: execution failed: {e}"))?;
+    Ok((program, profile))
+}
+
+/// `serve`'s job loader: [`load_target`] with every failure kept as
+/// the job's message — a service job never exits the process.
+fn load_job(target: &str) -> Result<(Program, Profile), String> {
+    load_target(target)
+        .map_err(|(CliError::Usage(m) | CliError::Config(m) | CliError::Runtime(m))| m)
 }
 
 /// Announces any degradation-ladder activity on stderr so scripted
@@ -770,7 +766,7 @@ fn main() -> ExitCode {
                 CliError::usage(format!("{command} needs a benchmark name or .mcir file"))
             })?;
             let o = parse_options(&args[2..]).map_err(CliError::Usage)?;
-            let (program, profile) = load_target_cli(target)?;
+            let (program, profile) = load_target(target)?;
             report_run(&program, &profile, &o, None)?;
             Ok(())
         })(),
@@ -802,7 +798,7 @@ fn main() -> ExitCode {
                     "repartition only supports --method gdp (the manifest-bearing method)",
                 ));
             }
-            let (program, profile) = load_target_cli(target)?;
+            let (program, profile) = load_target(target)?;
             let header = header_of(&o, &program);
             let ck = mcpart::core::load_checkpoint_any(&baseline_path).map_err(ck_err)?;
             if !ck.header.compatible_baseline(&header) {
@@ -824,7 +820,7 @@ fn main() -> ExitCode {
                 .get(1)
                 .ok_or_else(|| CliError::usage("compare needs a benchmark name or file"))?;
             let o = parse_options(&args[2..]).map_err(CliError::Usage)?;
-            let (program, profile) = load_target_cli(target)?;
+            let (program, profile) = load_target(target)?;
             let machine = machine_of(&o)?;
             let obs = obs_of(&o);
             let mut session = CheckpointSession::open(&o, &program)?;
@@ -870,7 +866,7 @@ fn main() -> ExitCode {
         "dump" => (|| {
             let target =
                 args.get(1).ok_or_else(|| CliError::usage("dump needs a benchmark name"))?;
-            let (program, _) = load_target_cli(target)?;
+            let (program, _) = load_target(target)?;
             print!("{}", program_to_string(&program));
             Ok(())
         })(),
@@ -913,7 +909,7 @@ fn main() -> ExitCode {
                 .get(1)
                 .ok_or_else(|| CliError::usage("schedule needs a benchmark name or file"))?;
             let o = parse_options(&args[2..]).map_err(CliError::Usage)?;
-            let (program, profile) = load_target_cli(target)?;
+            let (program, profile) = load_target(target)?;
             let machine = machine_of(&o)?;
             let obs = obs_of(&o);
             let config = config_of(&o, o.method).with_obs(obs.clone());
@@ -956,7 +952,7 @@ fn main() -> ExitCode {
                 .get(1)
                 .ok_or_else(|| CliError::usage("partition needs a benchmark name or file"))?;
             let o = parse_options(&args[2..]).map_err(CliError::Usage)?;
-            let (program, profile) = load_target_cli(target)?;
+            let (program, profile) = load_target(target)?;
             let machine = machine_of(&o)?;
             let program = profile.apply_heap_sizes(&program);
             let pts = mcpart::analysis::PointsTo::compute(&program);
@@ -990,7 +986,7 @@ fn main() -> ExitCode {
                 cfg.obs = mcpart::obs::Obs::enabled();
             }
             install_shutdown_handler();
-            mcpart::core::serve(std::path::Path::new(spool), &cfg, &load_target, &SERVE_SHUTDOWN)
+            mcpart::core::serve(std::path::Path::new(spool), &cfg, &load_job, &SERVE_SHUTDOWN)
                 .map_err(|e| CliError::Runtime(e.to_string()))?;
             if let Some(path) = &so.trace_out {
                 std::fs::write(path, cfg.obs.chrome_trace())
